@@ -107,7 +107,7 @@ std::string count_metric(double mean, std::size_t reps) {
 
 constexpr std::string_view kQueueFlagHelp =
     "event-queue backend: heap or calendar (identical results either way; "
-    "calendar is faster at very large node counts)";
+    "heap is the faster one on the cluster workloads)";
 
 /// Parses a --queue flag value, throwing the subcommand's usage-style error.
 des::QueueBackend parse_queue_flag(std::string_view subcommand,

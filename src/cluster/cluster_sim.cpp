@@ -1,12 +1,14 @@
 #include "cluster/cluster_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 
+#include "cluster/free_node_index.hpp"
 #include "util/stable_vector.hpp"
 #include "util/table.hpp"
 
@@ -27,6 +29,9 @@ constexpr std::uint64_t kTagMigration = ClusterSim::kTagMigration;
 constexpr std::uint64_t kTagFault = ClusterSim::kTagFault;
 constexpr std::uint64_t kTagCheckpoint = ClusterSim::kTagCheckpoint;
 
+/// How many nodes ahead tick() prefetches trace samples.
+constexpr std::size_t kPrefetchAhead = 8;
+
 /// Per-job runtime bookkeeping, parallel to the public JobRecord table.
 /// Defined at TU scope (not nested in Impl) so its member initializers are
 /// complete by the time Impl declares its StableVector of them.
@@ -37,6 +42,7 @@ struct JobRuntime {
   des::EventId recheck_event = des::kNoEvent;
   int node = -1;
   bool wants_migration = false;
+  bool in_movers = false;  // listed in Impl::movers (membership flag)
   bool displaced = false;  // in the displaced FIFO
   // Periodic-checkpoint timer while executing; doubles as the
   // checkpoint-write finish event while state is Checkpointing.
@@ -54,20 +60,43 @@ struct JobRuntime {
   double ckpt_start = 0.0;
 };
 
+/// Copy of a node's occupant list, for loops whose callbacks may change the
+/// list (a completion releases the node; a closed-mode resubmission may
+/// place onto it). Up to kInline ids live inline, so the per-window rate
+/// refresh allocates nothing; max_foreign_per_node may exceed kInline, and
+/// longer lists go to the heap.
+class OccupantSnapshot {
+ public:
+  explicit OccupantSnapshot(const std::vector<JobId>& ids) : size_(ids.size()) {
+    if (size_ <= kInline) {
+      std::copy(ids.begin(), ids.end(), inline_.begin());
+    } else {
+      heap_ = ids;
+    }
+  }
+  [[nodiscard]] const JobId* begin() const {
+    return size_ <= kInline ? inline_.data() : heap_.data();
+  }
+  [[nodiscard]] const JobId* end() const { return begin() + size_; }
+
+ private:
+  static constexpr std::size_t kInline = 4;
+  std::size_t size_;
+  std::array<JobId, kInline> inline_;
+  std::vector<JobId> heap_;
+};
+
 }  // namespace
 
-/// Cold per-node state: trace bindings, occupancy lists, the page pool, and
-/// fault overlays. The scan-hot scalars (utilization, idle/down flags,
-/// occupancy counts, episode clocks) live in the Impl's parallel SoA
+/// Cold per-node state: occupancy lists, the page pool, and fault overlays.
+/// The scan-hot state (trace bindings, utilization, idle/down flags,
+/// occupancy counts, episode clocks) lives in the Impl's parallel SoA
 /// vectors — the per-window tick and the placement scans walk every node,
 /// and packing the scanned fields contiguously is what keeps a 100k-node
 /// window O(nodes) cache lines instead of O(nodes) cache misses.
 struct ClusterSim::Node {
-  const trace::CoarseTrace* trace = nullptr;
-  const std::vector<bool>* flags = nullptr;  // idle flags, per trace sample
   // Seconds of non-idle time remaining from each sample (oracle baseline).
   const std::vector<double>* remaining = nullptr;
-  std::size_t offset_windows = 0;
 
   std::vector<JobId> occupants;  // resident foreign jobs (paper: at most 1)
   std::size_t reserved = 0;      // inbound migrations holding a slot
@@ -111,6 +140,31 @@ struct ClusterSim::Impl {
   std::vector<std::uint32_t> node_occ;      // occupants.size()
   std::vector<std::uint32_t> node_used;     // occupants + reserved slots
   std::vector<double> node_episode;         // start of current non-idle episode
+  // Owner page demand of the current window, pressure included. An empty
+  // node's page pool holds no foreign pages, so its state is a function of
+  // the latest demand alone: update_memory_sample only records it here,
+  // and place_job hands it to the pool when a job arrives.
+  std::vector<std::uint32_t> node_local_pages;
+
+  // Best free node per placement query, over the SoA fields above. Every
+  // write to node_idle/node_down/node_used/node_util reports the node via
+  // free_nodes.update(i), or (tick) invalidates the whole index.
+  FreeNodeIndex free_nodes;
+
+  /// Trace binding of one node: in window `step` (see window_step()) the
+  /// node replays sample window(step) of its trace. 32 bytes, so the tick
+  /// streams two nodes per cache line and can compute the sample address
+  /// of nodes ahead to prefetch them.
+  struct Replay {
+    const trace::CoarseSample* samples = nullptr;
+    const std::vector<bool>* flags = nullptr;  // recruitment-rule idle flags
+    std::size_t count = 0;                     // trace length in samples
+    std::size_t offset = 0;                    // random window-aligned start
+    [[nodiscard]] std::size_t window(std::size_t step) const {
+      return (offset + step) % count;
+    }
+  };
+  std::vector<Replay> node_replay;
 
   [[nodiscard]] bool is_idle(std::size_t i) const { return node_idle[i] != 0; }
 
@@ -120,6 +174,7 @@ struct ClusterSim::Impl {
   void sync_slots(std::size_t i) {
     node_occ[i] = static_cast<std::uint32_t>(nodes[i].occupants.size());
     node_used[i] = node_occ[i] + static_cast<std::uint32_t>(nodes[i].reserved);
+    free_nodes.update(i);
   }
 
   // Chunked pool: grows from completion callbacks while engine frames still
@@ -128,6 +183,9 @@ struct ClusterSim::Impl {
 
   std::deque<JobId> queue;      // fresh jobs awaiting first dispatch
   std::deque<JobId> displaced;  // evicted jobs awaiting a migration target
+  // Every job with wants_migration set, each once (JobRuntime::in_movers).
+  // Clearing the flag leaves the entry; step 3 of placement_pass drops it.
+  std::vector<JobId> movers;
 
   // Observability (all optional; nullptr = detached, zero work). The
   // metric objects live inside the attached registry; we cache raw
@@ -272,27 +330,33 @@ struct ClusterSim::Impl {
                        : node::memory_progress_factor(resident, total);
   }
 
-  void update_sample(std::size_t i) {
-    Node& n = nodes[i];
-    const std::size_t count = n.trace->samples().size();
-    const auto window =
-        (n.offset_windows +
-         static_cast<std::size_t>(std::floor(now() / period + 1e-9))) % count;
-    double util = std::clamp(n.trace->samples()[window].cpu, 0.0, 1.0);
+  /// Windows elapsed since t = 0 (the `step` of Replay::window).
+  [[nodiscard]] std::size_t window_step() const {
+    return static_cast<std::size_t>(std::floor(now() / period + 1e-9));
+  }
+
+  /// Re-reads node i's trace sample for window `step` (window_step()).
+  void update_sample(std::size_t i, std::size_t step) {
+    const Replay& replay = node_replay[i];
+    const std::size_t window = replay.window(step);
+    double util = std::clamp(replay.samples[window].cpu, 0.0, 1.0);
     const bool was_idle = is_idle(i);
-    bool idle = (*n.flags)[window];
+    bool idle = (*replay.flags)[window];
     if (node_down[i] != 0) {
       // A crashed node donates nothing and hosts nothing until recovery.
       idle = false;
       util = 0.0;
-    } else if (n.forced_busy_until > now() + 1e-12) {
+    } else if (faults_active && nodes[i].forced_busy_until > now() + 1e-12) {
       // Reclamation storm: the owner is back regardless of the trace. The
       // overlay ends at the first window boundary past forced_busy_until.
+      // (Only runs with faults have overlays; the guard keeps fault-free
+      // ticks off the cold Node records.)
       idle = false;
-      util = std::max(util, n.forced_util);
+      util = std::max(util, nodes[i].forced_util);
     }
     node_util[i] = util;
     node_idle[i] = idle ? 1 : 0;
+    free_nodes.update(i);
     if (was_idle && !idle) node_episode[i] = now();
     update_memory_sample(i, window);
   }
@@ -300,22 +364,21 @@ struct ClusterSim::Impl {
   /// The memory half of update_sample: local working set from the trace
   /// (plus any active pressure spike), then the donated-pool split.
   void update_memory_sample(std::size_t i, std::size_t window) {
-    Node& n = nodes[i];
-    if (!cfg.model_memory || !n.pool) return;
+    if (!cfg.model_memory) return;  // otherwise every node has a pool
     const auto free_kb =
-        std::max<std::int32_t>(0, n.trace->samples()[window].mem_free_kb);
+        std::max<std::int32_t>(0, node_replay[i].samples[window].mem_free_kb);
     auto used_kb = static_cast<std::uint32_t>(
         std::max<std::int64_t>(0, cfg.mem_total_kb - free_kb));
-    if (now() < n.pressure_until) used_kb += n.pressure_kb;
-    n.pool->set_local_pages(node::PagePool::kb_to_pages(used_kb));
+    Node& n = nodes[i];
+    if (faults_active && now() < n.pressure_until) used_kb += n.pressure_kb;
+    node_local_pages[i] = node::PagePool::kb_to_pages(used_kb);
+    if (node_occ[i] == 0) return;  // place_job applies it
+    n.pool->set_local_pages(node_local_pages[i]);
     update_memory(n);
   }
 
-  [[nodiscard]] std::size_t current_window(const Node& n) const {
-    const std::size_t count = n.trace->samples().size();
-    return (n.offset_windows +
-            static_cast<std::size_t>(std::floor(now() / period + 1e-9))) %
-           count;
+  [[nodiscard]] std::size_t current_window(std::size_t i) const {
+    return node_replay[i].window(window_step());
   }
 
   /// Folds elapsed progress into the job; returns true if it just finished.
@@ -382,8 +445,8 @@ struct ClusterSim::Impl {
   /// utilization changes every co-occupant's share. Integrates each at its
   /// old rate, then re-arms at the new share.
   void refresh_node_rates(std::size_t node_idx) {
-    const std::vector<JobId> snapshot = nodes[node_idx].occupants;
-    for (JobId id : snapshot) {
+    if (node_occ[node_idx] == 0) return;
+    for (JobId id : OccupantSnapshot(nodes[node_idx].occupants)) {
       const JobState s = self.jobs_[id].state;
       if (s == JobState::Running || s == JobState::Lingering) {
         refresh_rate(id);
@@ -417,12 +480,7 @@ struct ClusterSim::Impl {
     ctx.idle_utilization = self.idle_util_;
     ctx.migration_cost = migration_cost(job);
     if (n.remaining) {
-      const std::size_t count = n.trace->samples().size();
-      const auto window =
-          (n.offset_windows +
-           static_cast<std::size_t>(std::floor(now() / period + 1e-9))) %
-          count;
-      ctx.episode_remaining = (*n.remaining)[window];
+      ctx.episode_remaining = (*n.remaining)[current_window(node_idx)];
     }
     const core::Decision d = policy->on_nonidle(ctx);
 
@@ -459,6 +517,10 @@ struct ClusterSim::Impl {
         break;
       case core::Decision::Action::Migrate:
         r.wants_migration = true;
+        if (!r.in_movers) {
+          r.in_movers = true;
+          movers.push_back(id);
+        }
         if (policy->allows_lingering()) {
           // Keep executing while a target is sought.
           if (integrate(id)) {
@@ -502,8 +564,7 @@ struct ClusterSim::Impl {
 
   /// Owner departed: the node's occupants run at full (idle-node) terms.
   void handle_idle_transition(std::size_t node_idx) {
-    const std::vector<JobId> snapshot = nodes[node_idx].occupants;
-    for (JobId id : snapshot) {
+    for (JobId id : OccupantSnapshot(nodes[node_idx].occupants)) {
       const JobState s = self.jobs_[id].state;
       // A job mid-checkpoint-write keeps writing; finish_checkpoint reads
       // the node's idle flag and resumes it at the right terms.
@@ -531,6 +592,9 @@ struct ClusterSim::Impl {
       timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)),
                        idle ? "running" : "lingering",
                        util::format("node %zu", node_idx));
+    }
+    if (node_occ[node_idx] == 0 && n.pool) {
+      n.pool->set_local_pages(node_local_pages[node_idx]);
     }
     n.occupants.push_back(id);
     sync_slots(node_idx);
@@ -654,40 +718,8 @@ struct ClusterSim::Impl {
 
   /// Best node with a free slot, or nullopt. Preference order: emptier
   /// first (spread before sharing), then lower utilization, then index.
-  /// This is THE placement scan: a straight pass over four SoA arrays,
-  /// branch-light and cache-linear even at 100k nodes.
-  [[nodiscard]] std::optional<std::size_t> best_free_node(bool want_idle) const {
-    const std::uint8_t want = want_idle ? 1 : 0;
-    const std::size_t n = nodes.size();
-    std::optional<std::size_t> best;
-    std::uint32_t best_used = 0;
-    double best_util = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (node_down[i] != 0) continue;  // dead nodes host nothing (down =>
-                                        // non-idle, but lingering policies
-                                        // probe non-idle nodes)
-      if (node_idle[i] != want) continue;
-      const std::uint32_t used = node_used[i];
-      if (used >= cfg.max_foreign_per_node) continue;
-      if (!best) {
-        best = i;
-        best_used = used;
-        best_util = node_util[i];
-        continue;
-      }
-      if (used != best_used) {
-        if (used < best_used) {
-          best = i;
-          best_used = used;
-          best_util = node_util[i];
-        }
-      } else if (node_util[i] < best_util) {
-        best = i;
-        best_used = used;
-        best_util = node_util[i];
-      }
-    }
-    return best;
+  [[nodiscard]] std::optional<std::size_t> best_free_node(bool want_idle) {
+    return free_nodes.best(want_idle);
   }
 
   bool in_placement = false;
@@ -735,21 +767,25 @@ struct ClusterSim::Impl {
       place_job(id, *target);
     }
     // 3. Lingering jobs past their linger deadline move to leftover idle
-    //    nodes, worst source first.
+    //    nodes, worst source first. (util desc, id asc) is a total order, so
+    //    the listing order of `movers` cannot leak into the result.
     {
-      std::vector<JobId> movers;
-      for (JobId id = 0; id < self.jobs_.size(); ++id) {
-        if (rt[id].wants_migration && self.jobs_[id].state == JobState::Lingering) {
-          movers.push_back(id);
-        }
+      std::erase_if(movers, [this](JobId id) {
+        if (rt[id].wants_migration) return false;
+        rt[id].in_movers = false;
+        return true;
+      });
+      std::vector<JobId> ready;
+      for (JobId id : movers) {
+        if (self.jobs_[id].state == JobState::Lingering) ready.push_back(id);
       }
-      std::sort(movers.begin(), movers.end(), [this](JobId a, JobId b) {
+      std::sort(ready.begin(), ready.end(), [this](JobId a, JobId b) {
         const double ua = node_util[static_cast<std::size_t>(rt[a].node)];
         const double ub = node_util[static_cast<std::size_t>(rt[b].node)];
         if (ua != ub) return ua > ub;
         return a < b;
       });
-      for (JobId id : movers) {
+      for (JobId id : ready) {
         if (!migration_slot_available()) break;
         const auto target = best_free_node(/*want_idle=*/true);
         if (!target) break;
@@ -844,11 +880,11 @@ struct ClusterSim::Impl {
     n.down_since = now();
     node_idle[idx] = 0;
     node_util[idx] = 0.0;
+    free_nodes.update(idx);
     // Resident foreign jobs die with the node and restart from their last
     // checkpoint via the queue. Progress is integrated up to the crash
     // instant first so the rollback accounting is exact.
-    const std::vector<JobId> snapshot = n.occupants;
-    for (JobId id : snapshot) {
+    for (JobId id : OccupantSnapshot(n.occupants)) {
       if (self.jobs_[id].state == JobState::Done) continue;
       if (integrate(id)) {
         complete(id);
@@ -880,7 +916,7 @@ struct ClusterSim::Impl {
     if (now() + 1e-9 < n.down_until) return;  // superseded by a longer outage
     node_down[idx] = 0;
     if (tracer) tracer->virtual_span(tl.outage, n.down_since, now(), idx);
-    update_sample(idx);
+    update_sample(idx, window_step());
     node_episode[idx] = now();
     if (timeline) {
       timeline->record(now(), util::format("node %zu", idx),
@@ -898,6 +934,7 @@ struct ClusterSim::Impl {
       const bool was_idle = is_idle(idx);
       node_idle[idx] = 0;
       node_util[idx] = std::max(node_util[idx], n.forced_util);
+      free_nodes.update(idx);
       if (was_idle) {
         node_episode[idx] = now();
         if (timeline) {
@@ -908,8 +945,7 @@ struct ClusterSim::Impl {
         // Exactly the owner-returned path of tick(): every occupant faces
         // the policy at once — the storm's point is simultaneous eviction
         // pressure across the membership set.
-        const std::vector<JobId> snapshot = n.occupants;
-        for (JobId id : snapshot) {
+        for (JobId id : OccupantSnapshot(n.occupants)) {
           const JobState s = self.jobs_[id].state;
           if (s == JobState::Done || s == JobState::Checkpointing) continue;
           if (integrate(id)) {
@@ -938,7 +974,7 @@ struct ClusterSim::Impl {
       // Re-split the page pool under the spike without re-reading the
       // owner-activity half of the window; the spike decays at the first
       // window boundary past pressure_until.
-      update_memory_sample(idx, current_window(n));
+      update_memory_sample(idx, current_window(idx));
       refresh_node_rates(idx);
     }
   }
@@ -1076,10 +1112,21 @@ struct ClusterSim::Impl {
 
   void tick() {
     tick_scheduled = false;
+    // Every node re-reads its sample: rebuild the index at the next query
+    // rather than walk N point updates up the trees.
+    free_nodes.invalidate();
+    const std::size_t step = window_step();
     const std::size_t n_count = nodes.size();
     for (std::size_t i = 0; i < n_count; ++i) {
+      // Each node reads its sample at a random offset into a trace pool
+      // far larger than L2; requesting the sample of a node a few places
+      // ahead overlaps those misses.
+      if (i + kPrefetchAhead < n_count) {
+        const Replay& ahead = node_replay[i + kPrefetchAhead];
+        __builtin_prefetch(ahead.samples + ahead.window(step));
+      }
       const bool was_idle = is_idle(i);
-      update_sample(i);
+      update_sample(i, step);
       if (timeline && was_idle != is_idle(i)) {
         timeline->record(now(), util::format("node %zu", i),
                          is_idle(i) ? "idle" : "busy",
@@ -1087,8 +1134,7 @@ struct ClusterSim::Impl {
       }
       if (was_idle && !is_idle(i)) {
         // Owner returned mid-run: consult the policy for every occupant.
-        const std::vector<JobId> snapshot = nodes[i].occupants;
-        for (JobId id : snapshot) {
+        for (JobId id : OccupantSnapshot(nodes[i].occupants)) {
           const JobState s = self.jobs_[id].state;
           if (s == JobState::Done || s == JobState::Checkpointing) continue;
           if (integrate(id)) {
@@ -1100,10 +1146,9 @@ struct ClusterSim::Impl {
         refresh_node_rates(i);
       } else if (!was_idle && is_idle(i)) {
         handle_idle_transition(i);
-      } else if (node_occ[i] != 0) {
-        // Same state, possibly new utilization level: refresh the shares.
-        // SoA guard: refreshing an empty node is a no-op — skipping the
-        // call keeps the tick loop allocation-free for idle regions.
+      } else {
+        // Same state, possibly new utilization level: refresh the shares
+        // (a no-op on an empty node).
         refresh_node_rates(i);
       }
     }
@@ -1185,24 +1230,30 @@ ClusterSim::ClusterSim(ClusterConfig config,
   im.node_occ.assign(im.cfg.node_count, 0);
   im.node_used.assign(im.cfg.node_count, 0);
   im.node_episode.assign(im.cfg.node_count, 0.0);
+  im.node_local_pages.assign(im.cfg.node_count, 0);
+  im.node_replay.resize(im.cfg.node_count);
+  im.free_nodes = FreeNodeIndex({im.node_idle, im.node_down, im.node_used,
+                                 im.node_util},
+                                im.cfg.max_foreign_per_node);
   for (std::size_t i = 0; i < im.cfg.node_count; ++i) {
     Node& n = im.nodes[i];
+    Impl::Replay& replay = im.node_replay[i];
     const auto pick = im.cfg.randomize_placement
                           ? setup.uniform_index(pool.size())
                           : i % pool.size();
-    n.trace = &pool[pick];
-    n.flags = &im.flag_cache[pick];
+    replay.samples = pool[pick].samples().data();
+    replay.count = pool[pick].samples().size();
+    replay.flags = &im.flag_cache[pick];
     n.remaining = &im.remaining_cache[pick];
-    n.offset_windows = im.cfg.randomize_placement
-                           ? setup.uniform_index(n.trace->samples().size())
-                           : 0;
+    replay.offset =
+        im.cfg.randomize_placement ? setup.uniform_index(replay.count) : 0;
     if (im.cfg.model_memory) {
       node::PagePoolConfig pc;
       pc.total_pages = node::PagePool::kb_to_pages(im.cfg.mem_total_kb);
       n.pool.emplace(pc);
     }
     // Initial sample at t = 0; nodes starting non-idle have episode age 0.
-    im.update_sample(i);
+    im.update_sample(i, 0);
     im.node_episode[i] = 0.0;
   }
   im.account_window();

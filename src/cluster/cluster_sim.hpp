@@ -51,9 +51,9 @@ namespace ll::cluster {
 struct ClusterConfig {
   std::size_t node_count = 64;
   /// Event-queue backend for the internal engine. Both backends fire the
-  /// exact same event sequence (the golden digests are backend-invariant);
-  /// calendar is the right choice for very large node counts, where the
-  /// pending-event population reaches the hundreds of thousands.
+  /// exact same event sequence (the golden digests are backend-invariant).
+  /// Heap is the faster one on the cluster workloads: the calendar queue
+  /// wins only on synthetic schedule/fire churn (bench/micro_des).
   des::QueueBackend queue = des::QueueBackend::kHeap;
   core::PolicyKind policy = core::PolicyKind::LingerLonger;
   core::PolicyParams policy_params;

@@ -54,6 +54,11 @@ void HeapEventQueue::pop() {
   heap_.pop_back();
 }
 
+void HeapEventQueue::purge(const Keep& keep) {
+  std::erase_if(heap_, [&keep](const QueuedEvent& e) { return !keep(e.id); });
+  std::make_heap(heap_.begin(), heap_.end(), HeapAfter{});
+}
+
 CalendarEventQueue::CalendarEventQueue() : buckets_(kMinBuckets) {}
 
 CalendarEventQueue::Bucket& CalendarEventQueue::Bucket::operator=(
@@ -189,6 +194,24 @@ void CalendarEventQueue::pop() {
   if (count_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
     rebuild(buckets_.size() / 2);
   }
+}
+
+void CalendarEventQueue::purge(const Keep& keep) {
+  std::size_t kept = 0;
+  for (Bucket& bucket : buckets_) {
+    QueuedEvent* entries = bucket.data();
+    std::uint32_t out = 0;
+    for (std::uint32_t i = 0; i < bucket.size; ++i) {
+      if (keep(entries[i].id)) entries[out++] = entries[i];
+    }
+    bucket.size = out;
+    kept += out;
+  }
+  count_ = kept;
+  // Smallest bucket count the grow rule (count > 2x buckets) accepts.
+  std::size_t bucket_count = kMinBuckets;
+  while (count_ > 2 * bucket_count) bucket_count *= 2;
+  rebuild(bucket_count);
 }
 
 void CalendarEventQueue::rebuild(std::size_t new_bucket_count) {

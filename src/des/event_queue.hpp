@@ -23,12 +23,15 @@
 /// thresholds, scan cursor — depends only on the sequence of push/pop calls,
 /// never on wall-clock time or addresses, so reruns are byte-identical.
 ///
-/// Cancellation is NOT the queue's concern: the engine cancels lazily by
-/// dropping dead ids at pop time (the arena knows liveness in O(1)), so
-/// queues only ever see push/peek/pop.
+/// Cancellation is lazy: the engine drops dead ids at pop time (the arena
+/// knows liveness in O(1)), and when dead entries outnumber live ones it
+/// calls purge() to drop them in one pass (Simulation, DESIGN.md §12).
+/// Purge never reorders pops: the pop sequence is the (time, id) order of
+/// whatever entries remain.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -82,6 +85,14 @@ class EventQueue {
   /// Removes the earliest entry. Precondition: peek() != nullptr.
   virtual void pop() = 0;
 
+  /// Predicate over event ids: true keeps the entry.
+  using Keep = std::function<bool(std::uint64_t id)>;
+
+  /// Drops every entry whose id `keep` rejects, in O(size()). The remaining
+  /// entries pop in the same (time, id) order as before. Invalidates any
+  /// pointer returned by peek().
+  virtual void purge(const Keep& keep) = 0;
+
   [[nodiscard]] virtual std::size_t size() const = 0;
   [[nodiscard]] virtual QueueBackend backend() const = 0;
 };
@@ -95,6 +106,8 @@ class HeapEventQueue final : public EventQueue {
   void push(double time, std::uint64_t id) override;
   [[nodiscard]] const QueuedEvent* peek() override;
   void pop() override;
+  /// Erases the rejected entries and re-heapifies.
+  void purge(const Keep& keep) override;
   [[nodiscard]] std::size_t size() const override { return heap_.size(); }
   [[nodiscard]] QueueBackend backend() const override {
     return QueueBackend::kHeap;
@@ -136,6 +149,9 @@ class CalendarEventQueue final : public EventQueue {
   void push(double time, std::uint64_t id) override;
   [[nodiscard]] const QueuedEvent* peek() override;
   void pop() override;
+  /// Filters every bucket, then rebuilds at the bucket count the resize
+  /// policy gives the survivors, re-estimating the width from them.
+  void purge(const Keep& keep) override;
   [[nodiscard]] std::size_t size() const override { return count_; }
   [[nodiscard]] QueueBackend backend() const override {
     return QueueBackend::kCalendar;

@@ -40,7 +40,19 @@ bool Simulation::cancel(EventId id) {
   --pending_;
   ++cancelled_;
   if (observer_) observer_->on_cancel(id, tag);
+  purge_if_needed();
   return true;
+}
+
+void Simulation::purge_if_needed() {
+  const std::size_t dead = queue_->size() - pending_;
+  if (dead <= pending_ || dead <= kPurgeFloor) return;
+  // Each purge costs O(dead + live) = O(dead) and leaves no tombstone, and
+  // the next needs more than max(live, kPurgeFloor) new ones: amortized
+  // O(1) per cancel. Pops follow the (time, id) order of what remains, so
+  // dropping dead entries cannot change which event fires next.
+  queue_->purge([this](std::uint64_t id) { return arena_.live(id); });
+  ++purges_;
 }
 
 SimObserver* Simulation::set_observer(SimObserver* observer) {
@@ -63,6 +75,7 @@ bool Simulation::step() {
   std::uint64_t tag = 0;
   Callback fn = arena_.take(entry.id, tag);
   --pending_;
+  purge_if_needed();  // before the callback: it may schedule or cancel
   now_ = entry.time;
   ++fired_;
   // Notify before invoking so the digest records the fire even if the

@@ -9,17 +9,19 @@
 /// reproducible regardless of queue internals.
 ///
 /// The queue itself is pluggable (des/event_queue.hpp): the default binary
-/// heap, or a calendar queue for very large pending sets, selected via
-/// Options. Both backends fire the exact same (time, id) sequence — the
-/// golden digests (src/verify/) are backend-invariant by construction, and
-/// CI diffs them to prove it.
+/// heap, or a calendar queue, selected via Options. Both backends fire the
+/// exact same (time, id) sequence — the golden digests (src/verify/) are
+/// backend-invariant by construction, and CI diffs them to prove it.
 ///
 /// Events are plain callbacks, stored in a paged arena indexed by id
 /// (des/event_arena.hpp) with small-buffer callable storage
 /// (des/small_fn.hpp): schedule and cancel are O(1) with no hashing and,
 /// for ordinary captures, no allocation. Scheduling returns an EventId that
 /// can cancel the event later (lazy deletion: cancelled ids are skipped
-/// when popped).
+/// when popped). Cancelled entries left in the queue ("tombstones") are
+/// purged in one pass whenever they outnumber both the live events and
+/// kPurgeFloor, so the queue holds at most 2 x pending + kPurgeFloor
+/// entries and cancel stays amortized O(1) (DESIGN.md §12).
 ///
 /// An optional SimObserver receives schedule/fire/cancel notifications —
 /// the verification layer (src/verify/) uses this to stream state digests
@@ -147,6 +149,18 @@ class Simulation {
     return next_id_ - 1;
   }
 
+  /// Entries held by the event queue: pending events plus tombstones of
+  /// cancelled ones not yet dropped. Bounded by 2 x pending_count() +
+  /// kPurgeFloor after every schedule, cancel and fire.
+  [[nodiscard]] std::size_t queued_entries() const { return queue_->size(); }
+
+  /// Tombstone purges run so far.
+  [[nodiscard]] std::uint64_t purges() const { return purges_; }
+
+  /// Tombstones tolerated regardless of the live count, so that small
+  /// queues are not purged on every other cancel.
+  static constexpr std::size_t kPurgeFloor = 256;
+
   /// Allocated slot capacity of the callback arena. Monitoring/test hook:
   /// the table must shrink back after a pending-set collapse — whether by
   /// cancel storm or by mass firing — instead of keeping its peak footprint
@@ -176,11 +190,16 @@ class Simulation {
   // or nullptr when the queue is exhausted.
   const QueuedEvent* settle_top();
 
+  // Drops every tombstone once they outnumber both the live events and
+  // kPurgeFloor. Called wherever the pending count falls.
+  void purge_if_needed();
+
   double now_ = 0.0;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t pending_ = 0;
+  std::uint64_t purges_ = 0;
   SimObserver* observer_ = nullptr;
   std::unique_ptr<EventQueue> queue_;
   EventArena arena_;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -131,6 +132,10 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or fatal) — either way, stop accepting
     }
+    // Responses are single small writes: without TCP_NODELAY, Nagle's
+    // algorithm holds each one back until the client's delayed ACK arrives.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>(fd);
     std::scoped_lock lock(conns_mu_);

@@ -192,9 +192,7 @@ struct TaskRunner::Impl {
           if (victim == slot) continue;
           if (auto idx = b->queues[victim].steal_top()) {
             stats_stolen.fetch_add(1, std::memory_order_relaxed);
-            if (RunnerObserver* o = observer.load(std::memory_order_acquire)) {
-              o->on_steal(slot);
-            }
+            notify([slot](RunnerObserver& o) { o.on_steal(slot); });
             found = b;
             index = *idx;
           }
@@ -247,12 +245,15 @@ struct TaskRunner::Impl {
         continue;
       }
       stats_suspensions.fetch_add(1, std::memory_order_relaxed);
-      if (RunnerObserver* o = observer.load(std::memory_order_acquire)) {
-        const std::uint64_t t0 = observer_now_ns();
-        epoch.wait(ep, std::memory_order_acquire);
-        o->on_suspend(slot, t0, observer_now_ns());
-      } else {
-        epoch.wait(ep, std::memory_order_acquire);
+      // The observer is re-read after waking: it may have been detached
+      // (and destroyed) while this worker slept.
+      const bool timed = observer.load(std::memory_order_acquire) != nullptr;
+      const std::uint64_t t0 = timed ? observer_now_ns() : 0;
+      epoch.wait(ep, std::memory_order_acquire);
+      if (timed) {
+        notify([slot, t0](RunnerObserver& o) {
+          o.on_suspend(slot, t0, observer_now_ns());
+        });
       }
       spins = 0;
       yields = 0;
@@ -278,6 +279,22 @@ struct TaskRunner::Impl {
   // Attached scheduler observer (nullptr = detached). Release store in
   // set_observer pairs with the acquire loads at the call sites.
   std::atomic<RunnerObserver*> observer{nullptr};
+  // Worker-side observer calls in flight; set_observer waits for zero.
+  std::atomic<std::size_t> observer_calls{0};
+
+  /// Calls `fn(observer)` if an observer is attached (worker-side hooks:
+  /// on_steal, on_suspend).
+  /// The seq_cst increment-then-load here and exchange-then-load in
+  /// set_observer are a Dekker pair: either this load sees the new
+  /// observer, or set_observer sees the call in flight and waits for it,
+  /// so a detached observer is never called again.
+  template <typename F>
+  void notify(F&& fn) {
+    if (observer.load(std::memory_order_relaxed) == nullptr) return;
+    observer_calls.fetch_add(1, std::memory_order_seq_cst);
+    if (RunnerObserver* o = observer.load(std::memory_order_seq_cst)) fn(*o);
+    observer_calls.fetch_sub(1, std::memory_order_release);
+  }
 
   /// The scheduling core of TaskRunner::run() (the public wrapper adds the
   /// observer's batch bracket).
@@ -323,9 +340,7 @@ struct TaskRunner::Impl {
       }
       if (!idx) break;
       stats_stolen.fetch_add(1, std::memory_order_relaxed);
-      if (RunnerObserver* o = observer.load(std::memory_order_acquire)) {
-        o->on_steal(0);
-      }
+      notify([](RunnerObserver& o) { o.on_steal(0); });
       execute(batch, *idx);
     }
     std::size_t left = batch.unfinished.load(std::memory_order_acquire);
@@ -390,7 +405,14 @@ void TaskRunner::run(std::vector<std::function<void()>> tasks) {
 }
 
 RunnerObserver* TaskRunner::set_observer(RunnerObserver* observer) {
-  return impl_->observer.exchange(observer, std::memory_order_acq_rel);
+  RunnerObserver* previous =
+      impl_->observer.exchange(observer, std::memory_order_seq_cst);
+  // Wait out worker calls that loaded `previous` before the exchange, so
+  // the caller may destroy it as soon as this returns.
+  while (impl_->observer_calls.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+  return previous;
 }
 
 }  // namespace ll::util

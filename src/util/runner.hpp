@@ -106,6 +106,10 @@ class TaskRunner {
 
   /// Attaches a scheduler observer (nullptr detaches). Returns the
   /// previous observer. See RunnerObserver for the threading contract.
+  /// Returns only after every pool-worker callback on the previous
+  /// observer has returned, so it may be destroyed right away — also
+  /// while workers sleep (a sleeping worker re-reads the observer on
+  /// waking). Must not be called from inside an observer callback.
   RunnerObserver* set_observer(RunnerObserver* observer);
 
   /// Background threads ever started by any TaskRunner in this process —

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -229,6 +230,92 @@ TEST(CalendarQueue, SparseFarFutureTailUsesDirectScanCorrectly) {
   }
   sim.run();
   EXPECT_EQ(fired, (std::vector<double>{0.5, 3.0, 42.0, 7e4, 1e6}));
+}
+
+// Queue health. The cluster engine re-arms every running job's completion
+// on each rate change, so nearly every scheduled event is cancelled: the
+// cancelled copies ("tombstones") must not pile up in the queue. After
+// every operation the queue may hold at most 2 x pending + kPurgeFloor
+// entries, on both backends, and the fire sequence must not change.
+std::size_t tombstone_bound(const Simulation& sim) {
+  return 2 * sim.pending_count() + Simulation::kPurgeFloor;
+}
+
+// Cancel storm over a bimodal population: 400 slots, each re-armed at
+// random either just ahead of the clock or a long way past it, with a
+// fire every 50 re-arms. Far tombstones are never popped, so only the
+// purge can drop them; near ones stretch the calendar's width estimate.
+std::vector<FireLog::Rec> cancel_storm(QueueBackend backend,
+                                       std::uint64_t& purges) {
+  Simulation sim(with_backend(backend));
+  FireLog log;
+  sim.set_observer(&log);
+  rng::Stream rng(2024);
+  std::vector<EventId> slots(400, kNoEvent);
+  std::size_t violations = 0;
+  auto check = [&] {
+    if (sim.queued_entries() > tombstone_bound(sim)) ++violations;
+  };
+  for (int op = 0; op < 60000; ++op) {
+    const std::size_t k = rng.uniform_index(slots.size());
+    sim.cancel(slots[k]);
+    check();
+    const double when = rng.uniform01() < 0.5
+                            ? sim.now() + rng.uniform01()
+                            : sim.now() + 1e6 * (1.0 + rng.uniform01());
+    slots[k] = sim.schedule_at(when, [] {}, k % 3);
+    check();
+    if (op % 50 == 0) {
+      sim.step();
+      check();
+    }
+  }
+  while (sim.step()) check();
+  EXPECT_EQ(violations, 0u) << to_string(backend);
+  EXPECT_EQ(sim.queued_entries(), 0u);
+  EXPECT_EQ(sim.events_scheduled(),
+            sim.events_fired() + sim.events_cancelled());
+  purges = sim.purges();
+  return log.recs;
+}
+
+TEST(QueueHealth, CancelStormKeepsTombstonesBoundedOnBothBackends) {
+  std::uint64_t heap_purges = 0;
+  std::uint64_t calendar_purges = 0;
+  const auto heap = cancel_storm(QueueBackend::kHeap, heap_purges);
+  const auto calendar = cancel_storm(QueueBackend::kCalendar, calendar_purges);
+  EXPECT_EQ(heap, calendar);
+  EXPECT_GT(heap_purges, 0u);
+  // Purging is the engine's decision, made on counts alone.
+  EXPECT_EQ(heap_purges, calendar_purges);
+}
+
+TEST(QueueHealth, FiringDownToFewLiveEventsAlsoPurges) {
+  // Tombstones can come to outnumber the live events by firing, not only
+  // by cancelling: the bound must hold after every step as well.
+  for (const QueueBackend backend :
+       {QueueBackend::kHeap, QueueBackend::kCalendar}) {
+    Simulation sim(with_backend(backend));
+    std::vector<EventId> far;
+    for (int i = 0; i < 2000; ++i) {
+      sim.schedule_at(1.0 + i, [] {});
+      far.push_back(sim.schedule_at(1e6 + i, [] {}));
+    }
+    for (std::size_t i = 0; i < 1200; ++i) sim.cancel(far[i]);
+    EXPECT_EQ(sim.purges(), 0u);  // 1200 tombstones < 2800 live
+    std::size_t violations = 0;
+    std::vector<double> fired;
+    while (sim.pending_count() > 0) {
+      sim.step();
+      fired.push_back(sim.now());
+      if (sim.queued_entries() > tombstone_bound(sim)) ++violations;
+    }
+    EXPECT_EQ(violations, 0u) << to_string(backend);
+    EXPECT_GE(sim.purges(), 1u) << to_string(backend);
+    ASSERT_EQ(fired.size(), 2800u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(fired.back(), 1e6 + 1999);
+  }
 }
 
 TEST(EventArena, PeakFootprintIsPinnedAndPagesFreeOnDeath) {

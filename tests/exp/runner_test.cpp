@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -114,6 +116,65 @@ TEST(TaskRunner, NestedRunDoesNotDeadlock) {
   }
   runner.run(std::move(outer));
   EXPECT_EQ(inner_ran.load(), 32);
+}
+
+/// Counts suspension callbacks; the other hooks are ignored.
+struct SuspendCounter : RunnerObserver {
+  std::atomic<int> suspends{0};
+  void on_batch(std::size_t, std::uint64_t, std::uint64_t) override {}
+  void on_steal(std::size_t) override {}
+  void on_suspend(std::size_t, std::uint64_t, std::uint64_t) override {
+    suspends.fetch_add(1);
+  }
+};
+
+/// Runs tiny batches until every pool worker of `runner` has suspended at
+/// least once since the call, then gives them a moment to reach the wait.
+void put_workers_to_sleep(TaskRunner& runner) {
+  const std::uint64_t before = runner.stats().suspensions;
+  const std::uint64_t workers = runner.thread_count() - 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (runner.stats().suspensions < before + workers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::vector<std::function<void()>> batch(2, [] {});
+    runner.run(std::move(batch));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GE(runner.stats().suspensions, before + workers)
+      << "idle workers never reached the suspend state";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(TaskRunner, DetachedObserverIsNotCalledByWorkersThatSleptWithIt) {
+  TaskRunner runner(4);
+  SuspendCounter observer;
+  runner.set_observer(&observer);
+  put_workers_to_sleep(runner);
+  runner.set_observer(nullptr);
+  const int at_detach = observer.suspends.load();
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> wake(16, [&ran] { ran.fetch_add(1); });
+  runner.run(std::move(wake));  // wakes the sleepers
+  put_workers_to_sleep(runner);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(observer.suspends.load(), at_detach);
+}
+
+TEST(TaskRunner, ObserverMayBeDestroyedWhileWorkersSleep) {
+  // The sanitizer presets turn a call on the destroyed observer into a
+  // heap-use-after-free report.
+  TaskRunner runner(4);
+  auto observer = std::make_unique<SuspendCounter>();
+  runner.set_observer(observer.get());
+  put_workers_to_sleep(runner);
+  runner.set_observer(nullptr);
+  observer.reset();
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> wake(16, [&ran] { ran.fetch_add(1); });
+  runner.run(std::move(wake));
+  put_workers_to_sleep(runner);
+  EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(TaskRunner, SharedRunnerIsAProcessSingleton) {
