@@ -457,7 +457,8 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
       section.windows = obs_run.stats.windows;
       section.mailbox_sent = obs_run.stats.mailbox_sent;
       section.mailbox_delivered = obs_run.stats.mailbox_delivered;
-      section.max_barrier_wait_ns = obs_run.stats.max_barrier_wait_ns;
+      section.max_window_idle_ns = obs_run.stats.max_window_idle_ns;
+      section.serial_ns = obs_run.stats.serial_ns;
       manifest.shards = section;
       manifest.metrics = std::move(obs_run.metrics);
     } else {
@@ -487,10 +488,15 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
                                      shard_info->stats.mailbox_sent),
                                  static_cast<unsigned long long>(
                                      shard_info->stats.mailbox_delivered))});
-    report.add_row({"max barrier wait (us)",
+    report.add_row({"coordinator serial (ms)",
+                    util::format("%.3f",
+                                 static_cast<double>(
+                                     shard_info->stats.serial_ns) /
+                                     1e6)});
+    report.add_row({"worst-window shard idle (us)",
                     util::format("%.1f",
                                  static_cast<double>(
-                                     shard_info->stats.max_barrier_wait_ns) /
+                                     shard_info->stats.max_window_idle_ns) /
                                      1e3)});
   }
   if (n > 1) report.add_row({"replications", std::to_string(n)});
@@ -891,7 +897,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
           cfg.seed = s;
           if (trace_shards > 0) {
             // Sharded engine: shard:<k> wall spans per window advance plus
-            // shard.barrier instants (arg = imbalance wait ns).
+            // shard.barrier instants (arg = summed shard idle ns).
             shard::RunHooks hooks;
             hooks.on_start = [&](shard::ShardedClusterSim& sim) {
               sim.set_tracer(&tracer);

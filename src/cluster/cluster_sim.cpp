@@ -258,7 +258,8 @@ struct ClusterSim::Impl {
   // Idle-flag cache, one entry per distinct trace in the pool.
   std::vector<std::vector<bool>> flag_cache;
   // Remaining non-idle seconds from each sample (wrap-around; +inf when the
-  // whole trace is non-idle). Only the OracleLinger policy consults it.
+  // whole trace is non-idle). Only the OracleLinger policy consults it, so
+  // it is built for that policy alone (one double per pool sample).
   std::vector<std::vector<double>> remaining_cache;
 
   /// Seconds of consecutive non-idle windows starting at each sample,
@@ -1201,12 +1202,15 @@ ClusterSim::ClusterSim(ClusterConfig config,
 
   // Idle-flag cache per pool entry + measured idle utilization "l".
   im.flag_cache.reserve(pool.size());
+  const bool oracle = im.cfg.policy == core::PolicyKind::OracleLinger;
   double idle_cpu_sum = 0.0;
   std::size_t idle_cpu_count = 0;
   for (const auto& t : pool) {
     im.flag_cache.push_back(trace::idle_flags(t, im.cfg.recruitment));
-    im.remaining_cache.push_back(
-        Impl::remaining_nonidle(im.flag_cache.back(), im.period));
+    if (oracle) {
+      im.remaining_cache.push_back(
+          Impl::remaining_nonidle(im.flag_cache.back(), im.period));
+    }
     const auto& flags = im.flag_cache.back();
     for (std::size_t i = 0; i < flags.size(); ++i) {
       if (flags[i]) {
@@ -1244,7 +1248,8 @@ ClusterSim::ClusterSim(ClusterConfig config,
     replay.samples = pool[pick].samples().data();
     replay.count = pool[pick].samples().size();
     replay.flags = &im.flag_cache[pick];
-    n.remaining = &im.remaining_cache[pick];
+    // Other policies keep nullptr: they see episode_remaining = +inf.
+    if (oracle) n.remaining = &im.remaining_cache[pick];
     replay.offset =
         im.cfg.randomize_placement ? setup.uniform_index(replay.count) : 0;
     if (im.cfg.model_memory) {

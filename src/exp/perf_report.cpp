@@ -258,7 +258,6 @@ PerfEntry probe_micro_shard(std::uint64_t seed, double scale) {
   const std::size_t nodes = scaled(2000.0, scale, 64);
   cluster::ExperimentConfig cfg;
   cfg.cluster.node_count = nodes;
-  cfg.cluster.queue = des::QueueBackend::kCalendar;
   cfg.workload.jobs = std::max<std::size_t>(1, nodes / 4);
   cfg.workload.demand = 600.0;
   cfg.seed = seed;

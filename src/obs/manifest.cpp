@@ -38,7 +38,8 @@ void write_manifest_json(const RunManifest& manifest, std::ostream& out) {
         << ", \"windows\": " << s.windows
         << ", \"mailbox_sent\": " << s.mailbox_sent
         << ", \"mailbox_delivered\": " << s.mailbox_delivered
-        << ", \"max_barrier_wait_ns\": " << s.max_barrier_wait_ns << "}";
+        << ", \"max_window_idle_ns\": " << s.max_window_idle_ns
+        << ", \"serial_ns\": " << s.serial_ns << "}";
   }
   out << ",\n  \"metrics\": ";
   write_samples_json(manifest.metrics, out);
@@ -119,6 +120,28 @@ std::string validate_manifest(std::string_view manifest_text,
         return "manifest key '" + key + "' has kind '" +
                std::string(Value::kind_name(got->kind())) +
                "', schema wants '" + std::string(want_kind) + "'";
+      }
+    }
+  }
+  // "sections": per object-valued key, the fields it must carry when present.
+  if (const Value* sections = schema.find("sections")) {
+    if (sections->kind() != Kind::kObject) {
+      return "schema \"sections\" is not an object";
+    }
+    for (const auto& [key, fields] : sections->as_object()) {
+      const Value* got = manifest.find(key);
+      if (!got) continue;
+      if (got->kind() != Kind::kObject || fields.kind() != Kind::kObject) {
+        return "section '" + key + "' is not an object";
+      }
+      for (const auto& [field, want] : fields.as_object()) {
+        const Value* value = got->find(field);
+        if (!value) return "section '" + key + "' misses '" + field + "'";
+        if (want.kind() != Kind::kString ||
+            Value::kind_name(value->kind()) != want.as_string()) {
+          return "section '" + key + "' field '" + field +
+                 "' has the wrong kind";
+        }
       }
     }
   }

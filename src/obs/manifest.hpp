@@ -33,15 +33,16 @@ struct TraceStats {
 };
 
 /// Conservative-window accounting from a sharded run (src/shard/): shard
-/// count, windows completed, mailbox traffic, and the worst single-window
-/// barrier imbalance. Mirrors shard::ShardStats without an obs -> shard
-/// dependency.
+/// count, windows completed, mailbox traffic, the worst window's summed
+/// shard idle time, and the coordinator's serial barrier time. Mirrors
+/// shard::ShardStats without an obs -> shard dependency.
 struct ShardSection {
   std::uint64_t count = 0;
   std::uint64_t windows = 0;
   std::uint64_t mailbox_sent = 0;
   std::uint64_t mailbox_delivered = 0;
-  std::uint64_t max_barrier_wait_ns = 0;
+  std::uint64_t max_window_idle_ns = 0;
+  std::uint64_t serial_ns = 0;
 };
 
 struct RunManifest {

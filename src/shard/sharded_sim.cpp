@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +15,9 @@ namespace {
 
 constexpr double kRemainingEps = 1e-9;  // same residue rule as ClusterSim
 constexpr double kTimeEps = 1e-9;
+
+/// How many nodes ahead tick() prefetches trace samples.
+constexpr std::size_t kPrefetchAhead = 8;
 
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
@@ -59,6 +61,10 @@ struct ShardedClusterSim::Shard {
   std::vector<des::EventId> completion_evt;
   std::vector<des::EventId> ckpt_evt;
 
+  // Time of the pending tick: the exact double its schedule_at received.
+  // arm_completion schedules nothing past it (that tick re-arms the node).
+  double next_tick = 0.0;
+
   // Window-local counter deltas, folded by the coordinator at the barrier.
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
@@ -94,6 +100,19 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
   if (cfg_.max_foreign_per_node != 1) {
     throw std::invalid_argument(
         "sharded sim: only max_foreign_per_node == 1 is modeled");
+  }
+  if (cfg_.policy == core::PolicyKind::OracleLinger) {
+    throw std::invalid_argument(
+        "sharded sim: the LL-oracle policy is not modeled (no episode "
+        "oracle); run it on the monolithic engine");
+  }
+  if (cfg_.owner_restore_penalty != 0.0) {
+    throw std::invalid_argument(
+        "sharded sim: owner_restore_penalty is not modeled; it must be 0");
+  }
+  if (cfg_.max_concurrent_migrations != 0) {
+    throw std::invalid_argument(
+        "sharded sim: max_concurrent_migrations is not modeled; it must be 0");
   }
   period_ = pool.front().period();
   for (const auto& t : pool) {
@@ -132,9 +151,7 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
   }
 
   const std::size_t n = cfg_.node_count;
-  node_trace_.resize(n);
-  node_flags_.resize(n);
-  node_offset_.resize(n);
+  node_replay_.resize(n);
   node_util_.assign(n, 0.0);
   node_idle_.assign(n, 0);
   node_down_until_.assign(n, 0.0);
@@ -147,6 +164,10 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
   node_fg_cpu_.assign(n, 0.0);
   node_fg_delay_.assign(n, 0.0);
   node_lost_.assign(n, 0.0);
+  node_down_.assign(n, 0);
+  node_used_.assign(n, 0);
+  free_nodes_ = cluster::FreeNodeIndex(
+      {node_idle_, node_down_, node_used_, node_util_}, 1);
 
   // Per-node RNG: fork by index, never sequentially — the fork is a pure
   // function of (seed, "node-setup", i), so the assignment is invariant to
@@ -161,9 +182,11 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
       offset = static_cast<std::size_t>(
           setup.uniform_index(pool[pick].samples().size()));
     }
-    node_trace_[i] = &pool[pick];
-    node_flags_[i] = &flag_cache_[pick];
-    node_offset_[i] = offset;
+    Replay& replay = node_replay_[i];
+    replay.samples = pool[pick].samples().data();
+    replay.flags = &flag_cache_[pick];
+    replay.count = pool[pick].samples().size();
+    replay.offset = offset;
   }
 
   if (!cfg_.faults.empty()) {
@@ -182,6 +205,7 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
     sh->hi = std::min(sh->lo + chunk, n);
     sh->completion_evt.assign(n, des::kNoEvent);
     sh->ckpt_evt.assign(n, des::kNoEvent);
+    sh->next_tick = period_;
     shards_.push_back(std::move(sh));
   }
   for (auto& sp : shards_) {
@@ -189,7 +213,7 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
     if (sh.lo == sh.hi) continue;
     // Initial window state at t = 0 (window index 0), then the tick chain.
     for (std::size_t i = sh.lo; i < sh.hi; ++i) {
-      refresh_node(sh, i, 0.0, false);
+      refresh_node(sh, i, 0.0, 0, false);
     }
     Shard* shp = &sh;
     sh.sim.schedule_at(
@@ -270,9 +294,16 @@ void ShardedClusterSim::arm_completion(Shard& sh, std::size_t i, double t) {
   if (!(rate > 1e-12)) return;
   const double eta = job.remaining / rate;
   if (!(eta >= 0.0) || eta > 1e12) return;
+  const double at = t + eta;
+  // Past the pending tick the event could never fire: that tick comes
+  // strictly first and re-arms every occupied node (all of them are up),
+  // cancelling it. Skipping it changes no surviving event's (time, id)
+  // order, because ids stay monotonic. At == next_tick it is scheduled as
+  // before: armed in tick k's loop, it fires ahead of tick k + 1.
+  if (at > sh.next_tick) return;
   Shard* shp = &sh;
   sh.completion_evt[i] = sh.sim.schedule_at(
-      t + eta,
+      at,
       [this, shp, i] { complete_job(*shp, i, shp->sim.now()); },
       kTagCompletion);
 }
@@ -338,18 +369,16 @@ void ShardedClusterSim::occupant_policy(Shard& sh, std::size_t i, double t) {
 }
 
 void ShardedClusterSim::refresh_node(Shard& sh, std::size_t i, double t,
-                                     bool from_tick) {
+                                     std::size_t step, bool from_tick) {
   if (is_down(i, t)) {
     node_util_[i] = 0.0;
     node_idle_[i] = 0;
     return;
   }
-  const auto& samples = node_trace_[i]->samples();
-  const auto& flags = *node_flags_[i];
-  const auto w = static_cast<std::size_t>(std::llround(t / period_));
-  const std::size_t idx = (node_offset_[i] + w) % flags.size();
-  double util = samples[idx].cpu;
-  bool idle = flags[idx];
+  const Replay& replay = node_replay_[i];
+  const std::size_t idx = replay.window(step);
+  double util = replay.samples[idx].cpu;
+  bool idle = (*replay.flags)[idx];
   if (node_forced_until_[i] > t + kTimeEps) {
     idle = false;
     util = std::max(util, node_forced_util_[i]);
@@ -373,14 +402,22 @@ void ShardedClusterSim::refresh_node(Shard& sh, std::size_t i, double t,
 
 void ShardedClusterSim::tick(Shard& sh, std::uint64_t k) {
   const double t = static_cast<double>(k) * period_;
+  sh.next_tick = static_cast<double>(k + 1) * period_;
+  const auto step = static_cast<std::size_t>(k);
   for (std::size_t i = sh.lo; i < sh.hi; ++i) {
+    // Nodes read their samples at random offsets into a pool far larger
+    // than L2; requesting the sample of a node a few places ahead overlaps
+    // those misses.
+    if (i + kPrefetchAhead < sh.hi) {
+      const Replay& ahead = node_replay_[i + kPrefetchAhead];
+      __builtin_prefetch(ahead.samples + ahead.window(step));
+    }
     integrate_to(i, t);
-    refresh_node(sh, i, t, true);
+    refresh_node(sh, i, t, step, true);
   }
   Shard* shp = &sh;
   sh.sim.schedule_at(
-      static_cast<double>(k + 1) * period_, [this, shp, k] { tick(*shp, k + 1); },
-      kTagTick);
+      sh.next_tick, [this, shp, k] { tick(*shp, k + 1); }, kTagTick);
 }
 
 void ShardedClusterSim::start_checkpoint(Shard& sh, std::size_t i, double t) {
@@ -509,28 +546,33 @@ void ShardedClusterSim::set_completion_callback(
   on_complete_ = std::move(cb);
 }
 
-std::size_t ShardedClusterSim::best_target(double t, std::size_t exclude,
-                                           bool want_idle) const {
-  std::size_t best = kNoNode;
-  double best_util = 0.0;
+void ShardedClusterSim::sync_slot(std::size_t i) {
+  node_used_[i] = (node_occupant_[i] != kNoJob ? 1u : 0u) + node_reserved_[i];
+  free_nodes_.update(i);
+}
+
+void ShardedClusterSim::fill_placement_index(double t) {
+  // The shards rewrote util/idle/occupancy during the window, and an outage
+  // may have ended between the last tick and t, so refresh every mirror and
+  // rebuild the index at the next query.
+  free_nodes_.invalidate();
   for (std::size_t i = 0; i < cfg_.node_count; ++i) {
-    if (i == exclude) continue;
-    if (is_down(i, t)) continue;
-    if (node_occupant_[i] != kNoJob || node_reserved_[i] != 0) continue;
-    if ((node_idle_[i] != 0) != want_idle) continue;
-    const double u = node_util_[i];
-    if (best == kNoNode || u < best_util) {
-      best = i;
-      best_util = u;
-    }
+    node_down_[i] = is_down(i, t) ? 1 : 0;
+    sync_slot(i);
   }
-  return best;
+  index_filled_ = true;
+}
+
+std::size_t ShardedClusterSim::best_target(double t, bool want_idle) {
+  if (!index_filled_) fill_placement_index(t);
+  return free_nodes_.best(want_idle).value_or(kNoNode);
 }
 
 void ShardedClusterSim::place_job(cluster::JobId id, std::size_t target,
                                   double t) {
   integrate_to(target, t);
   node_occupant_[target] = id;
+  sync_slot(target);
   job_node_[id] = target;
   cluster::JobRecord& job = jobs_[id];
   job.set_state(node_idle_[target] ? cluster::JobState::Running
@@ -546,9 +588,9 @@ void ShardedClusterSim::place_job(cluster::JobId id, std::size_t target,
 void ShardedClusterSim::place_queue(double t) {
   while (!queue_.empty()) {
     const cluster::JobId id = queue_.front();
-    std::size_t target = best_target(t, kNoNode, true);
+    std::size_t target = best_target(t, true);
     if (target == kNoNode && policy_->allows_lingering()) {
-      target = best_target(t, kNoNode, false);
+      target = best_target(t, false);
     }
     if (target == kNoNode) break;
     queue_.pop_front();
@@ -575,6 +617,7 @@ void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
   job.set_state(cluster::JobState::Migrating, t);
   disarm_node(shard_of(from), from);
   node_occupant_[from] = kNoJob;
+  sync_slot(from);
   job_node_[id] = kNoNode;
   job_intent_[id] = 0;
   const double cost = cfg_.migration.cost(job.bytes);
@@ -597,6 +640,7 @@ void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
     arrive += static_cast<double>(drops) * (link.retry_backoff + cost);
   }
   node_reserved_[to] += 1;
+  sync_slot(to);
   Shard& target = shard_of(to);
   const bool cross = target.index != shard_of(from).index;
   if (cross) ++stats_.mailbox_sent;
@@ -642,6 +686,7 @@ void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
 }
 
 void ShardedClusterSim::advance_window(double horizon) {
+  index_filled_ = false;
   std::vector<std::function<void()>> tasks;
   for (auto& sp : shards_) {
     Shard& sh = *sp;
@@ -675,6 +720,7 @@ void ShardedClusterSim::advance_window(double horizon) {
 }
 
 void ShardedClusterSim::barrier(double t) {
+  const std::uint64_t serial_t0 = steady_ns();
   // Fold the window's mailboxes into canonical (time, job id) order. The
   // contents are shard-count invariant (each entry is produced by purely
   // node-local evolution); only their grouping differs with K, which the
@@ -709,7 +755,7 @@ void ShardedClusterSim::barrier(double t) {
   const std::uint64_t wait_ns =
       participants > 0 ? max_ns * participants - sum_ns : 0;
   stats_.barrier_wait_ns += wait_ns;
-  stats_.max_barrier_wait_ns = std::max(stats_.max_barrier_wait_ns, wait_ns);
+  stats_.max_window_idle_ns = std::max(stats_.max_window_idle_ns, wait_ns);
 
   std::sort(completions.begin(), completions.end(),
             [](const Shard::Completion& a, const Shard::Completion& b) {
@@ -741,7 +787,8 @@ void ShardedClusterSim::barrier(double t) {
       job_intent_[in.job] = 0;
       continue;
     }
-    const std::size_t target = best_target(t, in.node, true);
+    // The intent's own node holds the job, so the index never returns it.
+    const std::size_t target = best_target(t, true);
     if (target == kNoNode) {
       // No idle destination this window: keep lingering/paused in place and
       // let the policy re-issue the intent (as Condor leaves evicted jobs
@@ -769,6 +816,7 @@ void ShardedClusterSim::barrier(double t) {
     delivered_published_ = stats_.mailbox_delivered;
   }
   if (tracer_) tracer_->instant(lbl_barrier_, t, wait_ns);
+  stats_.serial_ns += steady_ns() - serial_t0;
 }
 
 void ShardedClusterSim::finalize_integration() {
@@ -850,6 +898,10 @@ std::uint64_t ShardedClusterSim::logical_events() const {
 }
 
 const des::Simulation& ShardedClusterSim::engine(std::size_t k) const {
+  return shards_.at(k)->sim;
+}
+
+des::Simulation& ShardedClusterSim::mutable_engine(std::size_t k) {
   return shards_.at(k)->sim;
 }
 

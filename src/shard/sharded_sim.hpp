@@ -39,8 +39,11 @@
 /// Scope: the sharded model is a window-granular re-expression of the
 /// monolithic ClusterSim, not an event-for-event replica — policy rechecks
 /// happen at trace-period granularity, migrations launch at window edges,
-/// and the page-pool memory model and OracleLinger episode oracle are not
-/// modeled. Its digests are pinned separately (<name>.shards.golden).
+/// and the page-pool memory model is not modeled (pressure faults are
+/// accepted and change nothing). The constructor rejects what the model
+/// cannot express: the OracleLinger episode oracle, owner_restore_penalty,
+/// max_concurrent_migrations, and max_foreign_per_node != 1. Its digests
+/// are pinned separately (<name>.shards.golden).
 
 #include <cstdint>
 #include <deque>
@@ -51,6 +54,7 @@
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
+#include "cluster/free_node_index.hpp"
 #include "cluster/job.hpp"
 #include "des/simulation.hpp"
 #include "fault/fault_spec.hpp"
@@ -70,10 +74,19 @@ struct ShardStats {
   std::uint64_t windows = 0;          ///< conservative windows completed
   std::uint64_t mailbox_sent = 0;     ///< cross-shard messages enqueued
   std::uint64_t mailbox_delivered = 0;///< cross-shard messages delivered
-  std::uint64_t barrier_wait_ns = 0;  ///< total shard idle time at barriers
-  std::uint64_t max_barrier_wait_ns = 0;  ///< worst single-window wait
+  /// Shard idle time at barriers, summed over shards and windows: per
+  /// window, (slowest shard's advance time) x participants - their sum.
+  std::uint64_t barrier_wait_ns = 0;
+  /// The largest single-window term of barrier_wait_ns: the worst window's
+  /// summed shard idle time (not one shard's wait).
+  std::uint64_t max_window_idle_ns = 0;
+  /// Coordinator wall time in barriers (mailbox drain, migration targets,
+  /// queue placement): the serial, Amdahl term of a sharded run.
+  std::uint64_t serial_ns = 0;
   std::uint64_t empty_windows = 0;    ///< shard-windows skipped (no events)
 };
+
+struct PlacementProbe;
 
 class ShardedClusterSim {
  public:
@@ -81,7 +94,8 @@ class ShardedClusterSim {
   /// windows are skipped — pinned by the empty-shard test). `runner`
   /// executes the per-window shard tasks; nullptr (or K == 1) advances the
   /// shards serially on the calling thread — results are identical either
-  /// way per the TaskRunner determinism contract.
+  /// way per the TaskRunner determinism contract. Throws
+  /// std::invalid_argument for the configurations listed under Scope.
   ShardedClusterSim(cluster::ClusterConfig config, std::size_t shards,
                     std::span<const trace::CoarseTrace> pool,
                     const workload::BurstTable& burst_table,
@@ -161,8 +175,8 @@ class ShardedClusterSim {
   void set_metrics(obs::MetricRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): "shard:<k>" wall spans per
-  /// window advance, "shard.barrier" instants (arg = imbalance wait ns).
-  /// Purely observational.
+  /// window advance, "shard.barrier" instants (arg = the window's summed
+  /// shard idle ns). Purely observational.
   void set_tracer(obs::Tracer* tracer);
 
   static constexpr cluster::JobId kNoJob =
@@ -178,11 +192,26 @@ class ShardedClusterSim {
   static constexpr std::uint64_t kTagCheckpoint = 6;
 
  private:
+  friend struct PlacementProbe;  // tests/shard/: placement-index checks
   struct Shard;
+
+  /// Trace binding of one node: in window `step` (the tick index) the node
+  /// replays sample window(step) of its trace. 32 bytes, so the tick can
+  /// compute the sample address of nodes ahead to prefetch them.
+  struct Replay {
+    const trace::CoarseSample* samples = nullptr;
+    const std::vector<bool>* flags = nullptr;  // recruitment-rule idle flags
+    std::size_t count = 0;                     // trace length in samples
+    std::size_t offset = 0;                    // start sample
+    [[nodiscard]] std::size_t window(std::size_t step) const {
+      return (offset + step) % count;
+    }
+  };
 
   // --- shard-local dynamics (run on shard tasks; touch only slice state)
   void tick(Shard& sh, std::uint64_t k);
-  void refresh_node(Shard& sh, std::size_t i, double t, bool from_tick);
+  void refresh_node(Shard& sh, std::size_t i, double t, std::size_t step,
+                    bool from_tick);
   void integrate_to(std::size_t i, double t);
   void arm_completion(Shard& sh, std::size_t i, double t);
   void disarm_node(Shard& sh, std::size_t i);
@@ -203,9 +232,11 @@ class ShardedClusterSim {
   void start_transfer(cluster::JobId id, std::size_t from, std::size_t to,
                       double t);
   void rollback_requeue(cluster::JobId id, std::size_t charge_node, double t);
-  [[nodiscard]] std::size_t best_target(double t, std::size_t exclude,
-                                        bool idle_only) const;
+  [[nodiscard]] std::size_t best_target(double t, bool want_idle);
+  void fill_placement_index(double t);
+  void sync_slot(std::size_t i);
   [[nodiscard]] Shard& shard_of(std::size_t node);
+  [[nodiscard]] des::Simulation& mutable_engine(std::size_t k);
   void finalize_integration();
 
   cluster::ClusterConfig cfg_;
@@ -222,11 +253,9 @@ class ShardedClusterSim {
   std::unique_ptr<fault::FaultSchedule> faults_;
 
   // Node SoA (global arrays; shard k owns the contiguous slice [lo, hi)).
-  std::vector<const trace::CoarseTrace*> node_trace_;
-  std::vector<const std::vector<bool>*> node_flags_;
-  std::vector<std::size_t> node_offset_;
+  std::vector<Replay> node_replay_;
   std::vector<double> node_util_;
-  std::vector<unsigned char> node_idle_;
+  std::vector<std::uint8_t> node_idle_;
   std::vector<double> node_down_until_;
   std::vector<double> node_episode_;
   std::vector<double> node_forced_until_;
@@ -240,6 +269,15 @@ class ShardedClusterSim {
 
   // Per-trace idle-flag cache shared by every node replaying that trace.
   std::vector<std::vector<bool>> flag_cache_;
+
+  // Coordinator placement index (best free node, util asc then index asc).
+  // node_down_ and node_used_ are coordinator-only mirrors, filled at the
+  // first placement after each window (is_down depends on the barrier
+  // time) and kept current by sync_slot() at every occupancy change.
+  std::vector<std::uint8_t> node_down_;
+  std::vector<std::uint32_t> node_used_;  // occupant + reserved
+  cluster::FreeNodeIndex free_nodes_;
+  bool index_filled_ = false;  // mirrors valid since the last window
 
   cluster::JobStore jobs_;
   std::vector<rng::Stream> job_link_;    // per-job link-fault stream

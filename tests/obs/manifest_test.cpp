@@ -176,6 +176,29 @@ TEST(Manifest, TraceSectionValidatesAsOptionalObject) {
   EXPECT_EQ(validate_manifest(render(m), schema), "");
 }
 
+TEST(Manifest, ShardSectionCarriesTheFieldsTheSchemaLists) {
+  constexpr std::string_view schema = R"({
+    "required": {"tool": "string"},
+    "sections": {"shards": {"windows": "number", "serial_ns": "number"}}
+  })";
+  RunManifest m = sample_manifest();
+  EXPECT_EQ(validate_manifest(render(m), schema), "");  // absent: valid
+  ShardSection shards;
+  shards.windows = 79;
+  shards.serial_ns = 55000000;
+  m.shards = shards;
+  const std::string text = render(m);
+  EXPECT_EQ(validate_manifest(text, schema), "");
+  const auto doc = util::json::parse(text);
+  EXPECT_DOUBLE_EQ(doc.find("shards")->find("serial_ns")->as_number(), 5.5e7);
+  constexpr std::string_view wants_more = R"({
+    "required": {"tool": "string"},
+    "sections": {"shards": {"max_barrier_wait_ns": "number"}}
+  })";
+  EXPECT_NE(validate_manifest(text, wants_more).find("max_barrier_wait_ns"),
+            std::string::npos);
+}
+
 TEST(Manifest, MalformedSchemaReportsError) {
   EXPECT_NE(validate_manifest(render(sample_manifest()), R"({"nope": 1})"),
             "");

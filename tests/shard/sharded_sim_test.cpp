@@ -139,6 +139,37 @@ TEST(ShardedSim, ConstructorRejectsInvalidConfig) {
       std::invalid_argument);
 }
 
+TEST(ShardedSim, RejectsConfigurationsItDoesNotModel) {
+  const auto pool = test_support::idle_pool(64);
+  const cluster::ClusterConfig cfg = base_config(core::PolicyKind::LingerLonger, 4);
+  auto rejects = [&](const cluster::ClusterConfig& bad, const char* what) {
+    try {
+      ShardedClusterSim sim(bad, 2, pool, table(), rng::Stream(1).fork("sim"));
+      ADD_FAILURE() << "accepted " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  cluster::ClusterConfig oracle = cfg;
+  oracle.policy = core::PolicyKind::OracleLinger;
+  rejects(oracle, "LL-oracle");
+  cluster::ClusterConfig restore = cfg;
+  restore.owner_restore_penalty = 0.5;
+  rejects(restore, "owner_restore_penalty");
+  cluster::ClusterConfig capped = cfg;
+  capped.max_concurrent_migrations = 2;
+  rejects(capped, "max_concurrent_migrations");
+
+  // Accepted and documented: pressure faults and the page-pool flag change
+  // nothing on this engine.
+  cluster::ClusterConfig pressure = cfg;
+  pressure.faults.pressure.arrivals = fault::ArrivalProcess::fixed({10.0});
+  pressure.faults.horizon = 100.0;
+  EXPECT_NO_THROW(ShardedClusterSim(pressure, 2, pool, table(),
+                                    rng::Stream(1).fork("sim")));
+}
+
 TEST(ShardedSim, WindowIsTheConservativeLookahead) {
   const auto pool = test_support::idle_pool(64);
   const cluster::ClusterConfig cfg = base_config(core::PolicyKind::LingerLonger, 4);

@@ -231,7 +231,7 @@ int main(int argc, const char** argv) {
       }
       ++instants[name->as_string()];
       if (name->as_string() == "shard.barrier") {
-        // arg carries the window's barrier-imbalance wait in nanoseconds.
+        // arg carries the window's summed shard idle time in nanoseconds.
         if (const json::Value* args = ev.find("args");
             args && args->kind() == json::Kind::kObject) {
           if (const json::Value* arg = args->find("arg");
@@ -350,16 +350,16 @@ int main(int argc, const char** argv) {
     }
     std::cout << "\n" << st.render();
     if (barrier_count > 0) {
-      ll::util::Table bt({"barrier waits", "value"});
+      ll::util::Table bt({"shard idle at barriers", "value"});
       bt.add_row({"barriers", std::to_string(barrier_count)});
       std::snprintf(buf, sizeof(buf), "%.3f", barrier_wait_ns / 1e6);
-      bt.add_row({"total wait ms", buf});
+      bt.add_row({"total idle ms (summed over shards)", buf});
       std::snprintf(buf, sizeof(buf), "%.1f",
                     barrier_wait_ns / 1e3 /
                         static_cast<double>(barrier_count));
-      bt.add_row({"mean wait us", buf});
+      bt.add_row({"mean per window us", buf});
       std::snprintf(buf, sizeof(buf), "%.1f", barrier_max_ns / 1e3);
-      bt.add_row({"max wait us", buf});
+      bt.add_row({"worst window us", buf});
       std::cout << "\n" << bt.render();
     }
   }
